@@ -38,7 +38,7 @@ let round_state t r =
   match Hashtbl.find_opt t.rounds r with
   | Some rs -> rs
   | None ->
-    let rs = { reports = Quorum.create (); proposals = Quorum.create (); proposed = false } in
+    let rs = { reports = Quorum.create ~n:t.p.cfg.Types.n; proposals = Quorum.create ~n:t.p.cfg.Types.n; proposed = false } in
     Hashtbl.replace t.rounds r rs;
     rs
 

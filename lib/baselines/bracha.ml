@@ -24,8 +24,8 @@ let create cfg ~me ~sender =
   { cfg;
     me;
     sender;
-    echoes = Quorum.create ();
-    readies = Quorum.create ();
+    echoes = Quorum.create ~n:cfg.Types.n;
+    readies = Quorum.create ~n:cfg.Types.n;
     echoed = false;
     readied = false;
     delivered = None }

@@ -50,7 +50,7 @@ let round_state t r =
   | Some rs -> rs
   | None ->
     let rs =
-      { values = Quorum.create ();
+      { values = Quorum.create ~n:t.p.cfg.Types.n;
         auxs = [];
         relayed = [];
         delivered = [];
@@ -58,7 +58,7 @@ let round_state t r =
         auxed = [];
         released = false;
         view = None;
-        releases = Quorum.create ();
+        releases = Quorum.create ~n:t.p.cfg.Types.n;
         resolved = false }
     in
     Hashtbl.replace t.rounds r rs;
@@ -168,7 +168,7 @@ let create ?(per_value_aux = false) p ~me ~input =
       commit_round = None;
       sent_committed = false;
       terminated = false;
-      committed_msgs = Quorum.create () }
+      committed_msgs = Quorum.create ~n:p.cfg.Types.n }
   in
   (t, [ MValue (1, input) ])
 

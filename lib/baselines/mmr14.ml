@@ -41,7 +41,7 @@ let round_state t r =
   | Some rs -> rs
   | None ->
     let rs =
-      { ests = Quorum.create (); auxs = []; relayed = []; bin = []; aux_sent = false }
+      { ests = Quorum.create ~n:t.p.cfg.Types.n; auxs = []; relayed = []; bin = []; aux_sent = false }
     in
     Hashtbl.replace t.rounds r rs;
     rs
@@ -125,7 +125,7 @@ let create p ~me ~input =
       committed = None;
       sent_committed = false;
       terminated = false;
-      committed_msgs = Quorum.create () }
+      committed_msgs = Quorum.create ~n:p.cfg.Types.n }
   in
   (t, [ Est (1, input) ])
 

@@ -21,6 +21,9 @@ module Make (G : Bca_intf.GBCA) = struct
     me : Types.pid;
     instances : (int, G.t) Hashtbl.t;
     mutable round : int;
+    mutable cur : G.t;
+    (* [round]'s instance, also in [instances]: almost every delivery is
+       for the current round, which then costs no hashed lookup *)
     mutable est : Value.t;
     mutable committed : Value.t option;
     mutable commit_round : int option;
@@ -29,13 +32,15 @@ module Make (G : Bca_intf.GBCA) = struct
     committed_msgs : Value.t Quorum.t;
   }
 
-  let instance_for t round =
+  let lookup t round =
     match Hashtbl.find_opt t.instances round with
     | Some inst -> inst
     | None ->
       let inst = G.create (t.p.bca_params ~round) ~me:t.me in
       Hashtbl.replace t.instances round inst;
       inst
+
+  let instance_for t round = if round = t.round then t.cur else lookup t round
 
   let wrap round msgs = List.map (fun m -> Gbca (round, m)) msgs
 
@@ -79,27 +84,50 @@ module Make (G : Bca_intf.GBCA) = struct
         if t.terminated then commit_out
         else begin
           t.round <- t.round + 1;
-          let next = instance_for t t.round in
+          let next = lookup t t.round in
+          t.cur <- next;
           let starts = G.start next ~input:t.est in
           commit_out @ wrap t.round starts @ try_advance t
         end
 
   let create p ~me ~input =
+    let inst = G.create (p.bca_params ~round:1) ~me in
     let t =
       { p;
         me;
         instances = Hashtbl.create 8;
         round = 1;
+        cur = inst;
         est = input;
         committed = None;
         commit_round = None;
         sent_committed = false;
         terminated = false;
-        committed_msgs = Quorum.create () }
+        committed_msgs = Quorum.create ~n:p.cfg.Types.n }
     in
-    let inst = instance_for t 1 in
+    Hashtbl.replace t.instances 1 inst;
     let out = wrap 1 (G.start inst ~input) in
     (t, out)
+
+  (* Byzantine termination layer for one value: commit on t+1 committed
+     messages, terminate on 2t+1.  Conses onto [out], newest first. *)
+  let committed_quorum t v out =
+    let tt = t.p.cfg.Types.t in
+    let c = Quorum.count t.committed_msgs v in
+    let out =
+      if c >= Quorum.plurality ~t:tt && Option.is_none t.committed then begin
+        t.committed <- Some v;
+        t.commit_round <- Some t.round;
+        if t.sent_committed then out
+        else begin
+          t.sent_committed <- true;
+          Committed v :: out
+        end
+      end
+      else out
+    in
+    if c >= Quorum.supermajority ~t:tt then t.terminated <- true;
+    out
 
   let handle_committed t ~from v =
     ignore (Quorum.add_first t.committed_msgs ~pid:from v : bool);
@@ -118,23 +146,7 @@ module Make (G : Bca_intf.GBCA) = struct
       in
       t.terminated <- true;
       out
-    | `Byz ->
-      let tt = t.p.cfg.Types.t in
-      let out = ref [] in
-      List.iter
-        (fun v' ->
-          let c = Quorum.count t.committed_msgs v' in
-          if c >= Quorum.plurality ~t:tt && t.committed = None then begin
-            t.committed <- Some v';
-            t.commit_round <- Some t.round;
-            if not t.sent_committed then begin
-              t.sent_committed <- true;
-              out := !out @ [ Committed v' ]
-            end
-          end;
-          if c >= Quorum.supermajority ~t:tt then t.terminated <- true)
-        Value.both;
-      !out
+    | `Byz -> List.rev (committed_quorum t Value.V1 (committed_quorum t Value.V0 []))
 
   let handle t ~from msg =
     if t.terminated then []
@@ -142,9 +154,10 @@ module Make (G : Bca_intf.GBCA) = struct
       match msg with
       | Committed v -> handle_committed t ~from v
       | Gbca (r, m) ->
-        let inst = instance_for t r in
-        let outs = wrap r (G.handle inst ~from m) in
-        outs @ try_advance t
+        let outs = G.handle (instance_for t r) ~from m in
+        (match try_advance t with
+        | [] -> wrap r outs
+        | advanced -> wrap r outs @ advanced)
 
   let committed t = t.committed
 
@@ -165,7 +178,5 @@ module Make (G : Bca_intf.GBCA) = struct
   let instance t ~round = Hashtbl.find_opt t.instances round
 
   let current_phase t =
-    match Hashtbl.find_opt t.instances t.round with
-    | Some inst -> G.phase inst
-    | None -> "init"
+    G.phase t.cur
 end

@@ -29,9 +29,9 @@ let create cfg ~me =
   Types.check_byz_resilience cfg;
   { cfg;
     me;
-    echoes = Quorum.create ();
-    echo2s = Quorum.create ();
-    echo3s = Quorum.create ();
+    echoes = Quorum.create ~n:cfg.Types.n;
+    echo2s = Quorum.create ~n:cfg.Types.n;
+    echo3s = Quorum.create ~n:cfg.Types.n;
     my_echoes = [];
     approved = [];
     sent_echo2 = false;
@@ -41,66 +41,79 @@ let create cfg ~me =
 let start t ~input =
   (* The input echo may coincide with an amplification already sent while
      waiting to start (Algorithm 4 sends each echo value at most once). *)
-  if List.mem input t.my_echoes then []
+  if Value.mem input t.my_echoes then []
   else begin
     t.my_echoes <- input :: t.my_echoes;
     [ MEcho input ]
   end
+
+(* The clauses of Algorithm 4, one value at a time.  Each takes the
+   messages emitted so far, newest first, and returns them with its own
+   consed on; [progress] reverses once.  Top-level functions over an
+   explicit value keep the step free of per-call closures. *)
+
+(* Lines 3-4: amplification. *)
+let amplify t v out =
+  if Quorum.count t.echoes v >= Quorum.plurality ~t:t.cfg.Types.t && not (Value.mem v t.my_echoes)
+  then begin
+    t.my_echoes <- v :: t.my_echoes;
+    MEcho v :: out
+  end
+  else out
+
+(* Lines 5-7: approval and the single echo2 vote. *)
+let approve t ~q v out =
+  if Quorum.count t.echoes v >= q && not (Value.mem v t.approved) then begin
+    t.approved <- v :: t.approved;
+    if t.sent_echo2 then out
+    else begin
+      t.sent_echo2 <- true;
+      MEcho2 v :: out
+    end
+  end
+  else out
+
+(* Lines 8-12, condition (2): an echo2 quorum for [v]. *)
+let echo3_on_quorum t ~q v out =
+  if Option.is_none t.echo3_sent && Quorum.count t.echo2s v >= q then begin
+    let cv = Types.cval v in
+    t.echo3_sent <- Some cv;
+    MEcho3 cv :: out
+  end
+  else out
+
+(* Lines 13-17, condition (2): an echo3 quorum for [v]. *)
+let decide_on_quorum t ~q v =
+  let cv = Types.cval v in
+  if Option.is_none t.decision && Quorum.count t.echo3s cv >= q then t.decision <- Some cv
 
 (* Evaluate every clause of Algorithm 4 that may have become enabled. Clauses
    guard themselves against re-firing, so a full re-scan after each delivery
    is exactly the pseudocode's "upon"/"wait until" semantics. *)
 let progress t =
   let q = Types.quorum t.cfg in
-  let out = ref [] in
-  (* Lines 3-4: amplification. *)
-  List.iter
-    (fun v ->
-      if Quorum.count t.echoes v >= Quorum.plurality ~t:t.cfg.Types.t && not (List.mem v t.my_echoes)
-      then begin
-        t.my_echoes <- v :: t.my_echoes;
-        out := !out @ [ MEcho v ]
-      end)
-    Value.both;
-  (* Lines 5-7: approval and the single echo2 vote. *)
-  List.iter
-    (fun v ->
-      if Quorum.count t.echoes v >= q && not (List.mem v t.approved) then begin
-        t.approved <- v :: t.approved;
-        if not t.sent_echo2 then begin
-          t.sent_echo2 <- true;
-          out := !out @ [ MEcho2 v ]
-        end
-      end)
-    Value.both;
+  let out = amplify t Value.V1 (amplify t Value.V0 []) in
+  let out = approve t ~q Value.V1 (approve t ~q Value.V0 out) in
   (* Lines 8-12: wait until |approvedVals| > 1, or an echo2 quorum for one
      value; the pseudocode tests condition (1) first. *)
-  if t.echo3_sent = None then begin
-    if List.length t.approved > 1 then begin
+  let out =
+    if Option.is_some t.echo3_sent then out
+    else if List.length t.approved > 1 then begin
       t.echo3_sent <- Some Types.Bot;
-      out := !out @ [ MEcho3 Types.Bot ]
+      MEcho3 Types.Bot :: out
     end
-    else
-      List.iter
-        (fun v ->
-          if t.echo3_sent = None && Quorum.count t.echo2s v >= q then begin
-            t.echo3_sent <- Some (Types.Val v);
-            out := !out @ [ MEcho3 (Types.Val v) ]
-          end)
-        Value.both
-  end;
+    else echo3_on_quorum t ~q Value.V1 (echo3_on_quorum t ~q Value.V0 out)
+  in
   (* Lines 13-17: decision; condition (1) tested first. *)
-  if t.decision = None then begin
+  if Option.is_none t.decision then begin
     if List.length t.approved > 1 && Quorum.senders t.echo3s >= q then
       t.decision <- Some Types.Bot
-    else
-      List.iter
-        (fun v ->
-          if t.decision = None && Quorum.count t.echo3s (Types.Val v) >= q then
-            t.decision <- Some (Types.Val v))
-        Value.both
+    else begin
+      decide_on_quorum t ~q Value.V0;
+      decide_on_quorum t ~q Value.V1
+    end
   end;
-  !out
+  List.rev out
 
 let handle t ~from msg =
   (match msg with

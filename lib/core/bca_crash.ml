@@ -22,7 +22,7 @@ let max_broadcast_steps = 2
 
 let create cfg ~me =
   Types.check_crash_resilience cfg;
-  { cfg; me; vals = Quorum.create (); echoes = Quorum.create (); echoed = None; decision = None }
+  { cfg; me; vals = Quorum.create ~n:cfg.Types.n; echoes = Quorum.create ~n:cfg.Types.n; echoed = None; decision = None }
 
 let start _t ~input = [ MVal input ]
 
@@ -30,14 +30,14 @@ let start _t ~input = [ MVal input ]
 let progress t =
   let q = Types.quorum t.cfg in
   let out = ref [] in
-  if t.echoed = None && Quorum.senders t.vals >= q then begin
+  if Option.is_none t.echoed && Quorum.senders t.vals >= q then begin
     let echo =
-      match Quorum.all_equal t.vals with Some v -> Types.Val v | None -> Types.Bot
+      match Quorum.all_equal t.vals with Some v -> Types.cval v | None -> Types.Bot
     in
     t.echoed <- Some echo;
     out := [ MEcho echo ]
   end;
-  if t.decision = None && Quorum.senders t.echoes >= q then begin
+  if Option.is_none t.decision && Quorum.senders t.echoes >= q then begin
     let d = match Quorum.all_equal t.echoes with Some cv -> cv | None -> Types.Bot in
     t.decision <- Some d
   end;

@@ -27,9 +27,9 @@ let create cfg ~me =
   Types.check_crash_resilience cfg;
   { cfg;
     me;
-    vals = Quorum.create ();
-    echoes = Quorum.create ();
-    echo2s = Quorum.create ();
+    vals = Quorum.create ~n:cfg.Types.n;
+    echoes = Quorum.create ~n:cfg.Types.n;
+    echo2s = Quorum.create ~n:cfg.Types.n;
     echoed = None;
     echo2_sent = None;
     decision = None }
@@ -51,24 +51,29 @@ let grade_echo2s echo2s =
 
 let progress t =
   let q = Types.quorum t.cfg in
-  let out = ref [] in
-  if t.echoed = None && Quorum.senders t.vals >= q then begin
-    let echo =
-      match Quorum.all_equal t.vals with Some v -> Types.Val v | None -> Types.Bot
-    in
-    t.echoed <- Some echo;
-    out := !out @ [ MEcho echo ]
-  end;
-  if t.echo2_sent = None && Quorum.senders t.echoes >= q then begin
-    let echo2 =
-      match Quorum.all_equal t.echoes with Some cv -> cv | None -> Types.Bot
-    in
-    t.echo2_sent <- Some echo2;
-    out := !out @ [ MEcho2 echo2 ]
-  end;
-  if t.decision = None && Quorum.senders t.echo2s >= q then
+  let out =
+    if Option.is_none t.echoed && Quorum.senders t.vals >= q then begin
+      let echo =
+        match Quorum.all_equal t.vals with Some v -> Types.cval v | None -> Types.Bot
+      in
+      t.echoed <- Some echo;
+      [ MEcho echo ]
+    end
+    else []
+  in
+  let out =
+    if Option.is_none t.echo2_sent && Quorum.senders t.echoes >= q then begin
+      let echo2 =
+        match Quorum.all_equal t.echoes with Some cv -> cv | None -> Types.Bot
+      in
+      t.echo2_sent <- Some echo2;
+      MEcho2 echo2 :: out
+    end
+    else out
+  in
+  if Option.is_none t.decision && Quorum.senders t.echo2s >= q then
     t.decision <- Some (grade_echo2s t.echo2s);
-  !out
+  List.rev out
 
 let handle t ~from msg =
   (match msg with

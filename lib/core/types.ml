@@ -24,6 +24,8 @@ let check_byz_resilience cfg =
 
 type cvalue = Val of Value.t | Bot
 
+let cval = function Value.V0 -> Val Value.V0 | Value.V1 -> Val Value.V1
+
 let cvalue_equal a b =
   match (a, b) with
   | Val x, Val y -> Value.equal x y

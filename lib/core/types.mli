@@ -28,6 +28,10 @@ val check_byz_resilience : cfg -> unit
 (** A crusader value: a binary value or bottom. *)
 type cvalue = Val of Bca_util.Value.t | Bot
 
+val cval : Bca_util.Value.t -> cvalue
+(** [cval v] is [Val v], returned as one of two statically allocated
+    constants: the protocol step builds it without allocating. *)
+
 val cvalue_equal : cvalue -> cvalue -> bool
 
 val cvalue_compare : cvalue -> cvalue -> int

@@ -1,14 +1,6 @@
 module Rng = Bca_util.Rng
 
-let keyed_hash (secret : int64) (tag : string) : int64 =
-  let acc = ref secret in
-  String.iter
-    (fun c ->
-      let rng = Rng.create (Int64.add !acc (Int64.of_int (Char.code c + 977))) in
-      acc := Rng.int64 rng)
-    tag;
-  let rng = Rng.create (Int64.add !acc (Int64.of_int (String.length tag))) in
-  Rng.int64 rng
+let keyed_hash secret tag = Keyed_mac.hash ~salt:977 secret tag
 
 type t = { n : int; secrets : int64 array }
 

@@ -1,68 +1,101 @@
+type 'v tally = { value : 'v; mutable count : int }
+
 type 'v t = {
-  tbl : (int, 'v list) Hashtbl.t;
-  (* per-value sender tallies, maintained incrementally on every credited
-     message so the threshold tests protocols run after each delivery are
-     O(#distinct values) instead of a fold over all senders.  Protocol values
-     are tiny variants (two or three distinct possibilities), so an
-     association list beats any hashed structure here. *)
-  mutable tallies : ('v * int ref) list;
+  by_pid : 'v list array;
+  (* values credited to each sender, newest first; [] = nothing credited.
+     Indexed by pid, so crediting a message and testing a sender are one
+     array access instead of a hashed lookup. *)
+  mutable senders : int;
+  mutable tallies : 'v tally list;
+  (* per-value sender tallies, newest value first, maintained incrementally
+     on every credited message so the threshold tests protocols run after
+     each delivery are O(#distinct values) instead of a scan over all
+     senders.  Protocol values are tiny variants (two or three distinct
+     possibilities), so a short list beats any hashed structure here. *)
 }
 
-let create () = { tbl = Hashtbl.create 16; tallies = [] }
+let create ~n =
+  if n < 0 then invalid_arg "Quorum.create: negative n";
+  { by_pid = Array.make n []; senders = 0; tallies = [] }
 
 let copy t =
-  { tbl = Hashtbl.copy t.tbl;
-    tallies = List.map (fun (v, r) -> (v, ref !r)) t.tallies }
+  { by_pid = Array.copy t.by_pid;
+    senders = t.senders;
+    tallies = List.map (fun r -> { value = r.value; count = r.count }) t.tallies }
 
-let bump t v =
-  match List.assoc_opt v t.tallies with
-  | Some r -> incr r
-  | None -> t.tallies <- (v, ref 1) :: t.tallies
+(* Physical equality first: protocol values are mostly immediates and
+   statically allocated constants, which it decides without a call into the
+   runtime's structural comparison. *)
+let same a b = a == b || a = b
 
-let add_first t ~pid v =
-  if Hashtbl.mem t.tbl pid then false
-  else begin
-    Hashtbl.replace t.tbl pid [ v ];
-    bump t v;
-    true
-  end
+let rec mem v = function [] -> false | x :: rest -> same v x || mem v rest
 
-let add_value t ~pid v =
-  match Hashtbl.find_opt t.tbl pid with
-  | None ->
-    Hashtbl.replace t.tbl pid [ v ];
-    bump t v;
-    true
-  | Some vs ->
-    if List.mem v vs then false
-    else begin
-      Hashtbl.replace t.tbl pid (v :: vs);
-      bump t v;
+let rec incr_tally v = function
+  | [] -> false
+  | r :: rest ->
+    if same v r.value then begin
+      r.count <- r.count + 1;
       true
     end
+    else incr_tally v rest
 
-let count t v =
-  match List.assoc_opt v t.tallies with Some r -> !r | None -> 0
+let in_range t pid = Bounds.index_ok ~len:(Array.length t.by_pid) pid
+
+let credit t ~pid vs v =
+  (match vs with [] -> t.senders <- t.senders + 1 | _ :: _ -> ());
+  t.by_pid.(pid) <- v :: vs;
+  if not (incr_tally v t.tallies) then t.tallies <- { value = v; count = 1 } :: t.tallies
+
+let add_first t ~pid v =
+  in_range t pid
+  &&
+  match t.by_pid.(pid) with
+  | [] ->
+    credit t ~pid [] v;
+    true
+  | _ :: _ -> false
+
+let add_value t ~pid v =
+  in_range t pid
+  &&
+  let vs = t.by_pid.(pid) in
+  (not (mem v vs))
+  && begin
+       credit t ~pid vs v;
+       true
+     end
+
+let rec count_in v = function
+  | [] -> 0
+  | r :: rest -> if same v r.value then r.count else count_in v rest
+
+let count t v = count_in v t.tallies
 
 let count_if t p =
-  Det.fold_commutative (fun _ vs acc -> if List.exists p vs then acc + 1 else acc) t.tbl 0
+  Array.fold_left (fun acc vs -> if List.exists p vs then acc + 1 else acc) 0 t.by_pid
 
-let senders t = Hashtbl.length t.tbl
+let senders t = t.senders
 
-let values t = List.map fst t.tallies
+let values t = List.map (fun r -> r.value) t.tallies
 
-let all_equal t =
-  match t.tallies with [ (v, _) ] -> Some v | _ -> None
+let all_equal t = match t.tallies with [ r ] -> Some r.value | _ -> None
 
 let senders_of t v =
-  Det.bindings ~compare:Int.compare t.tbl
-  |> List.filter_map (fun (pid, vs) -> if List.mem v vs then Some pid else None)
+  let acc = ref [] in
+  for pid = Array.length t.by_pid - 1 downto 0 do
+    if mem v t.by_pid.(pid) then acc := pid :: !acc
+  done;
+  !acc
 
-let mem_sender t ~pid = Hashtbl.mem t.tbl pid
+let mem_sender t ~pid =
+  in_range t pid && match t.by_pid.(pid) with [] -> false | _ :: _ -> true
 
 let entries t =
-  Det.bindings ~compare:Int.compare t.tbl
-  |> List.concat_map (fun (pid, vs) -> List.map (fun v -> (pid, v)) vs)
+  let acc = ref [] in
+  for pid = Array.length t.by_pid - 1 downto 0 do
+    acc := List.map (fun v -> (pid, v)) t.by_pid.(pid) @ !acc
+  done;
+  !acc
 
 (* Threshold arithmetic.  These three formulas are the paper's whole quorum
    vocabulary; spelling them once here (the only file the lint quorum rule

@@ -13,12 +13,20 @@
       (the rule for Algorithm 4/6 echo messages, where an honest party may
       legitimately send two echoes: its input and one amplification).
 
-    Values are compared with structural equality; they are small protocol
-    variants throughout this codebase. *)
+    Storage is dense: one slot per party, indexed by pid, so a quorum is
+    created for a known party count [n] and only pids in [\[0, n)] are ever
+    credited.  A message claiming any other sender is rejected (the [add_*]
+    functions return [false]) and never raises - a sender id can come off
+    the wire.
+
+    Values are compared with structural equality, tried after physical
+    equality; they are small protocol variants throughout this codebase. *)
 
 type 'v t
 
-val create : unit -> 'v t
+val create : n:int -> 'v t
+(** An empty quorum over parties [0 .. n-1].  Raises [Invalid_argument] if
+    [n] is negative. *)
 
 val copy : 'v t -> 'v t
 (** Independent snapshot (used by the model checker's configuration
@@ -26,11 +34,12 @@ val copy : 'v t -> 'v t
 
 val add_first : 'v t -> pid:int -> 'v -> bool
 (** Record a message under first-per-sender discipline.  Returns [true] iff
-    the message was counted (i.e. this sender had not been seen before). *)
+    the message was counted (i.e. [pid] is in range and this sender had not
+    been seen before). *)
 
 val add_value : 'v t -> pid:int -> 'v -> bool
 (** Record a message under first-per-(sender,value) discipline.  Returns
-    [true] iff this (sender, value) pair is new. *)
+    [true] iff [pid] is in range and this (sender, value) pair is new. *)
 
 val count : 'v t -> 'v -> int
 (** [count t v] is the number of distinct senders credited with value [v]. *)
@@ -53,7 +62,8 @@ val senders_of : 'v t -> 'v -> int list
 (** The distinct senders credited with value [v], in ascending pid order. *)
 
 val mem_sender : 'v t -> pid:int -> bool
-(** Whether any message from [pid] has been credited. *)
+(** Whether any message from [pid] has been credited ([false] for a pid out
+    of range). *)
 
 val entries : 'v t -> (int * 'v) list
 (** All credited (sender, value) pairs, in ascending pid order. *)

@@ -22,6 +22,10 @@ val to_int : t -> int
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
+val mem : t -> t list -> bool
+(** [mem v vs] is [List.mem v vs] without the polymorphic comparison. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

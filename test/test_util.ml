@@ -125,7 +125,7 @@ let test_value_bool_roundtrip () =
     [ true; false ]
 
 let test_quorum_add_first () =
-  let q = Quorum.create () in
+  let q = Quorum.create ~n:10 in
   Alcotest.(check bool) "first counts" true (Quorum.add_first q ~pid:1 "a");
   Alcotest.(check bool) "second from same sender ignored" false (Quorum.add_first q ~pid:1 "b");
   Alcotest.(check int) "count a" 1 (Quorum.count q "a");
@@ -133,7 +133,7 @@ let test_quorum_add_first () =
   Alcotest.(check int) "senders" 1 (Quorum.senders q)
 
 let test_quorum_add_value () =
-  let q = Quorum.create () in
+  let q = Quorum.create ~n:10 in
   Alcotest.(check bool) "first" true (Quorum.add_value q ~pid:1 "a");
   Alcotest.(check bool) "same pair ignored" false (Quorum.add_value q ~pid:1 "a");
   Alcotest.(check bool) "new value same sender counts" true (Quorum.add_value q ~pid:1 "b");
@@ -142,7 +142,7 @@ let test_quorum_add_value () =
   Alcotest.(check int) "one sender" 1 (Quorum.senders q)
 
 let test_quorum_all_equal () =
-  let q = Quorum.create () in
+  let q = Quorum.create ~n:10 in
   Alcotest.(check bool) "empty" true (Quorum.all_equal q = None);
   ignore (Quorum.add_first q ~pid:1 "x" : bool);
   ignore (Quorum.add_first q ~pid:2 "x" : bool);
@@ -151,14 +151,14 @@ let test_quorum_all_equal () =
   Alcotest.(check bool) "mixed" true (Quorum.all_equal q = None)
 
 let test_quorum_count_if () =
-  let q = Quorum.create () in
+  let q = Quorum.create ~n:10 in
   ignore (Quorum.add_first q ~pid:1 3 : bool);
   ignore (Quorum.add_first q ~pid:2 5 : bool);
   ignore (Quorum.add_first q ~pid:3 4 : bool);
   Alcotest.(check int) "odd senders" 2 (Quorum.count_if q (fun v -> v mod 2 = 1))
 
 let test_quorum_senders_of () =
-  let q = Quorum.create () in
+  let q = Quorum.create ~n:10 in
   ignore (Quorum.add_first q ~pid:4 "v" : bool);
   ignore (Quorum.add_first q ~pid:2 "v" : bool);
   ignore (Quorum.add_first q ~pid:9 "w" : bool);
@@ -170,7 +170,7 @@ let quorum_model =
   QCheck2.Test.make ~count:500 ~name:"quorum add_first matches model"
     QCheck2.Gen.(list (pair (int_bound 8) (int_bound 3)))
     (fun ops ->
-      let q = Quorum.create () in
+      let q = Quorum.create ~n:10 in
       let model = Hashtbl.create 8 in
       List.iter
         (fun (pid, v) ->
@@ -184,6 +184,93 @@ let quorum_model =
           Quorum.count q v
           = Hashtbl.fold (fun _ v' acc -> if v = v' then acc + 1 else acc) model 0)
         [ 0; 1; 2; 3 ])
+
+(* Differential test of the dense quorum against the hashed reference
+   model it replaced (test/helpers/quorum_ref.ml): random add_first /
+   add_value sequences, including pids outside [0, n), must produce the
+   same return values and the same observable state.  Out-of-range pids
+   must be rejected without raising and never reach the model. *)
+let quorum_differential (type v) ~name ~(gen : v QCheck2.Gen.t) ~(universe : v list)
+    ~(print : v -> string) =
+  let module Ref = Bca_test_helpers.Quorum_ref in
+  let n = 7 in
+  let op_gen = QCheck2.Gen.(triple bool (int_range (-3) (n + 2)) gen) in
+  let print_op (first, pid, v) =
+    Printf.sprintf "%s(%d,%s)" (if first then "first" else "value") pid (print v)
+  in
+  QCheck2.Test.make ~count:400 ~name
+    ~print:QCheck2.Print.(list print_op)
+    QCheck2.Gen.(list_size (int_bound 40) op_gen)
+    (fun ops ->
+      let q = Quorum.create ~n and m = Ref.create () in
+      List.iter
+        (fun (first, pid, v) ->
+          let got = if first then Quorum.add_first q ~pid v else Quorum.add_value q ~pid v in
+          let expect =
+            Bca_util.Bounds.index_ok ~len:n pid
+            && if first then Ref.add_first m ~pid v else Ref.add_value m ~pid v
+          in
+          if got <> expect then
+            QCheck2.Test.fail_reportf "%s: dense %b, model %b" (print_op (first, pid, v)) got expect)
+        ops;
+      let same_state q =
+        let set xs = List.sort_uniq compare xs in
+        let parity v = Hashtbl.hash v land 1 = 0 in
+        Quorum.senders q = Ref.senders m
+        && Quorum.entries q = Ref.entries m
+        && Quorum.all_equal q = Ref.all_equal m
+        && set (Quorum.values q) = set (Ref.values m)
+        && Quorum.count_if q parity = Ref.count_if m parity
+        && List.for_all
+             (fun v ->
+               Quorum.count q v = Ref.count m v && Quorum.senders_of q v = Ref.senders_of m v)
+             universe
+        && List.for_all
+             (fun pid ->
+               Quorum.mem_sender q ~pid = (Bca_util.Bounds.index_ok ~len:n pid && Ref.mem_sender m ~pid))
+             (List.init (n + 6) (fun i -> i - 3))
+      in
+      (* a copy taken now must read the same, and stay put when the
+         original moves on *)
+      let snapshot = Quorum.copy q in
+      List.iter (fun pid -> List.iter (fun v -> ignore (Quorum.add_value q ~pid v : bool)) universe)
+        (List.init n Fun.id);
+      same_state snapshot)
+
+let quorum_differential_value =
+  quorum_differential ~name:"Value.t matches hashed model"
+    ~gen:(QCheck2.Gen.oneofl Value.both) ~universe:Value.both ~print:Value.to_string
+
+let quorum_differential_cvalue =
+  let module Types = Bca_core.Types in
+  let universe = [ Types.Val Value.V0; Types.Val Value.V1; Types.Bot ] in
+  (* build fresh boxes so equality cannot lean on physical identity *)
+  let gen =
+    QCheck2.Gen.map
+      (function 0 -> Types.Val (Value.of_bool false) | 1 -> Types.Val (Value.of_bool true) | _ -> Types.Bot)
+      (QCheck2.Gen.int_bound 2)
+  in
+  quorum_differential ~name:"cvalue matches hashed model" ~gen ~universe
+    ~print:(Format.asprintf "%a" Types.pp_cvalue)
+
+let quorum_differential_string =
+  (* Bracha's payloads: strings, built fresh per message *)
+  let universe = [ "a"; "b"; "c"; "" ] in
+  let gen = QCheck2.Gen.map (fun s -> String.init (String.length s) (String.get s)) (QCheck2.Gen.oneofl universe) in
+  quorum_differential ~name:"string matches hashed model" ~gen ~universe
+    ~print:(Printf.sprintf "%S")
+
+let test_quorum_rejects_out_of_range () =
+  let q = Quorum.create ~n:4 in
+  List.iter
+    (fun pid ->
+      Alcotest.(check bool) "add_first rejected" false (Quorum.add_first q ~pid "x");
+      Alcotest.(check bool) "add_value rejected" false (Quorum.add_value q ~pid "x");
+      Alcotest.(check bool) "not a sender" false (Quorum.mem_sender q ~pid))
+    [ -1; min_int; 4; 5; max_int ];
+  Alcotest.(check int) "no sender credited" 0 (Quorum.senders q);
+  Alcotest.(check int) "no tally" 0 (Quorum.count q "x");
+  Alcotest.(check bool) "edge pid counts" true (Quorum.add_first q ~pid:3 "x")
 
 let test_summary_mean () =
   let s = Summary.of_floats [ 1.0; 2.0; 3.0; 4.0 ] in
@@ -246,7 +333,11 @@ let () =
           Alcotest.test_case "all_equal" `Quick test_quorum_all_equal;
           Alcotest.test_case "count_if" `Quick test_quorum_count_if;
           Alcotest.test_case "senders_of" `Quick test_quorum_senders_of;
-          QCheck_alcotest.to_alcotest quorum_model ] );
+          Alcotest.test_case "out-of-range pids rejected" `Quick test_quorum_rejects_out_of_range;
+          QCheck_alcotest.to_alcotest quorum_model;
+          QCheck_alcotest.to_alcotest quorum_differential_value;
+          QCheck_alcotest.to_alcotest quorum_differential_cvalue;
+          QCheck_alcotest.to_alcotest quorum_differential_string ] );
       ( "summary",
         [ Alcotest.test_case "mean/min/max" `Quick test_summary_mean;
           Alcotest.test_case "stddev" `Quick test_summary_stddev;
