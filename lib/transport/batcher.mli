@@ -16,9 +16,11 @@
 
     The encode path is allocation-light by construction: message bodies
     stage in one reusable scratch buffer, record regions live in per-peer
-    buffers that are cleared (not freed) on flush, and batch bodies
-    assemble in a [Bca_wire.Bufpool] buffer.  Only the final framed string
-    per {e batch} is allocated fresh, amortized over every record in it.
+    buffers that are cleared (not freed) on flush, and a batch body
+    assembles in one batcher-owned buffer that
+    [Bca_wire.Wire.encode_raw_buffer] copies straight into the frame.  The
+    framed string is the one allocation per {e batch}, amortized over
+    every record in it.
 
     When built with a tracer, emits [Bca_obs.Event.Transport] events per
     flush: op ["flush"] carrying the framed batch size in bytes and op

@@ -69,10 +69,11 @@ type t = {
           [timeout_s] seconds without one.  Pumps the network while
           waiting. *)
   recv_view : timeout_s:float -> Bca_wire.Wire.view option;
-      (** [recv] without the body copy: the view aliases the connection
-          reader's immutable snapshot (or, for self-delivery, the sent
-          frame string), so the body is decoded in place.  [recv] and
-          [recv_view] drain the same inbox; use either. *)
+      (** [recv] without the body copy: the view aliases the string the
+          connection read into (or, for self-delivery, the sent frame
+          string), so the body is decoded in place.  [recv] and
+          [recv_view] drain the same inbox; use either.  [timeout_s <= 0.]
+          is a poll: the inbox, else one network pump. *)
   flush : timeout_s:float -> bool;
       (** Pump until every outbound queue is empty or dead, or the timeout
           elapses; [true] if everything was flushed. *)

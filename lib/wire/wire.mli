@@ -166,13 +166,18 @@ val encode : 'm codec -> sender:int -> 'm -> string
 
 val encode_buf : 'm codec -> sender:int -> scratch:Buffer.t -> 'm -> string
 (** {!encode} staging the body in a caller-owned [scratch] buffer (cleared
-    first) instead of allocating a fresh one per message - the pooled
-    encode of the transport hot path.  Same bytes as {!encode}. *)
+    first) instead of allocating a fresh one per message.  Same bytes as
+    {!encode}; the frame string is the only allocation. *)
 
 val encode_raw : codec_id:int -> sender:int -> string -> string
 (** Frame an already-encoded body - used by tests to build adversarial
-    frames with arbitrary contents, and by the batch path to frame an
-    assembled batch body. *)
+    frames with arbitrary contents.  Header, CRC and body are written into
+    one fresh string. *)
+
+val encode_raw_buffer : codec_id:int -> sender:int -> Buffer.t -> string
+(** {!encode_raw} of a body staged in a buffer, copied straight into the
+    frame - how the batcher frames an assembled batch body with one
+    allocation. *)
 
 val decode_frame : ?max_body:int -> string -> pos:int -> (frame * int, error) result
 (** Parse one frame starting at [pos]; on success also returns the number
@@ -223,6 +228,11 @@ val frame_words : frame -> int
 module Reader : sig
   (** Incremental frame extraction from a byte stream.  Feed arbitrary
       chunks in; {!next} yields complete frames as they become available.
+      A chunk fed while nothing is left over is kept as it is, not copied:
+      its frames are viewed in place.  Only a trailing partial frame is
+      copied - stashed, then copied once in front of the chunk that
+      completes it - so feeding [k] bytes of whole frames costs O([k])
+      whatever was consumed before.
       A non-recoverable error (bad magic, bad CRC, oversized, unknown
       version) poisons the reader: framing on a corrupted stream cannot be
       trusted again, so the transport must drop the connection. *)
@@ -232,6 +242,8 @@ module Reader : sig
   val create : ?max_body:int -> unit -> t
 
   val feed : t -> string -> pos:int -> len:int -> unit
+  (** Append [len] bytes of [s] from [pos].  The reader may keep [s]
+      itself, which is safe because strings are immutable. *)
 
   val next : t -> (frame option, error) result
   (** [Ok None] = need more bytes; [Ok (Some f)] = one frame extracted;
@@ -239,10 +251,10 @@ module Reader : sig
       error). *)
 
   val next_view : t -> (view option, error) result
-  (** {!next} without the body copy: the view aliases the reader's internal
-      snapshot string, which is immutable and therefore stays valid across
-      later [feed]/[next] calls (compaction swaps in a new string, it never
-      mutates the old one).  The transport receive path uses this. *)
+  (** {!next} without the body copy: the view aliases the fed chunk (or
+      the string a stashed partial frame was joined into), which is
+      immutable and therefore stays valid across later [feed]/[next]
+      calls.  The transport receive path uses this. *)
 
   val buffered : t -> int
   (** Bytes fed but not yet consumed as frames. *)

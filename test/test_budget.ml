@@ -111,8 +111,125 @@ let test_budget_bites () =
     true
     (words > budget c)
 
+
+(* ---- the codec path ------------------------------------------------
+
+   Allocation per record of the batched wire path with no sockets: the
+   batcher encodes 64 byz-strong messages to one destination (the 64th
+   fills the batch and flushes it into a loopback hub), the hub delivers
+   the frame, and [Batch.iter_view] walks it, decoding each record with
+   the stack codec.  Deterministic like the protocol budget above: minor
+   words per record, measured once the buffers have grown, within 10% of
+   the value measured when the wire path was made copy-lean (closure-free
+   varints, one-allocation batch framing). *)
+
+module Wire = Bca_wire.Wire
+module Batch = Bca_wire.Batch
+module Batcher = Bca_transport.Batcher
+module Transport = Bca_transport.Transport
+module Wirefmt = Bca_core.Wirefmt
+module Byz_strong = Bca_core.Aa_strong.Make (Bca_core.Bca_byz)
+
+let batch_records = 64
+
+let codec_words = 10.16
+
+let codec_budget = codec_words *. 1.10
+
+let messages =
+  Array.init batch_records (fun i ->
+      let v = if i mod 2 = 0 then Value.V0 else Value.V1 in
+      match i mod 4 with
+      | 0 -> Byz_strong.Committed v
+      | 1 -> Byz_strong.Bca (i, Bca_core.Bca_byz.MEcho v)
+      | 2 -> Byz_strong.Bca (i, Bca_core.Bca_byz.MEcho2 v)
+      | _ -> Byz_strong.Bca (i, Bca_core.Bca_byz.MEcho3 (Types.Val v)))
+
+(* The fixture's batch walk: [Batch.iter_view]'s, reading varints the way
+   [Wire.Get.varint] once did, through a local loop that captures the
+   cursor - one closure per varint. *)
+let closure_varint g =
+  let rec go shift acc =
+    if shift > 56 then raise (Wire.Get.Malformed "varint too long")
+    else
+      let b = Wire.Get.u8 g in
+      let acc = acc lor ((b land 0x7F) lsl shift) in
+      if acc < 0 then raise (Wire.Get.Malformed "varint overflows 63-bit int")
+      else if b land 0x80 = 0 then acc
+      else go (shift + 7) acc
+  in
+  go 0 0
+
+let walk_with_closure_varints v ~record =
+  let g = Wire.cursor_of_view v in
+  ignore (Wire.Get.u8 g : int);
+  ignore (Wire.Get.u8 g : int);
+  let count = closure_varint g in
+  for _ = 1 to count do
+    let instance = closure_varint g in
+    let len = closure_varint g in
+    record ~instance (Wire.Get.sub g len)
+  done;
+  Wire.Get.expect_end g
+
+(* One batch through the path; minor words per record. *)
+let codec_path_words ~walk =
+  let hub = Transport.Loopback.create_hub ~n:2 () in
+  let net = Transport.Loopback.endpoint hub ~me:0 in
+  let bat =
+    Batcher.create ~policy:(Batcher.policy ~max_records:batch_records ())
+      ~inner_codec_id:Wirefmt.byz_strong.Wire.id net
+  in
+  let encs = Array.map (fun m buf -> Wirefmt.byz_strong.Wire.enc buf m) messages in
+  let got = Array.make batch_records (Byz_strong.Committed Value.V0) in
+  let record ~instance g =
+    got.(instance) <- Wirefmt.byz_strong.Wire.dec g;
+    Wire.Get.expect_end g
+  in
+  let once () =
+    for i = 0 to batch_records - 1 do
+      Batcher.send bat ~dst:1 ~instance:i ~enc:encs.(i)
+    done;
+    match Transport.Loopback.step hub with
+    | None -> Alcotest.fail "the full batch was not flushed"
+    | Some (_, f) -> walk (Wire.view_of_frame f) ~record
+  in
+  (* warm-up: the batcher's buffers grow to size on the first batch *)
+  once ();
+  let w0 = Gc.minor_words () in
+  once ();
+  let words = (Gc.minor_words () -. w0) /. float_of_int batch_records in
+  Array.iteri
+    (fun i m ->
+      if got.(i) <> m then Alcotest.failf "record %d decoded to a different message" i)
+    messages;
+  words
+
+let iter_view_walk v ~record =
+  match Batch.iter_view v ~record with
+  | Ok (_, count) -> if count <> batch_records then Alcotest.failf "%d records" count
+  | Error e -> Alcotest.failf "batch: %s" (Wire.error_to_string e)
+
+let test_codec_path () =
+  let words = codec_path_words ~walk:iter_view_walk in
+  Printf.printf "codec path: %.2f words/record\n" words;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/record within budget %.2f" words codec_budget)
+    true (words <= codec_budget)
+
+let test_codec_budget_bites () =
+  let words = codec_path_words ~walk:walk_with_closure_varints in
+  Printf.printf "with closure-allocating varints: %.2f words/record\n" words;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words/record breaks budget %.2f" words codec_budget)
+    true (words > codec_budget)
+
 let () =
   Alcotest.run "budget"
     [ ( "alloc",
         List.map (fun c -> Alcotest.test_case c.name `Quick (test_case c)) cases
-        @ [ Alcotest.test_case "allocating quorum count breaks it" `Quick test_budget_bites ] ) ]
+        @ [ Alcotest.test_case "allocating quorum count breaks it" `Quick test_budget_bites ] );
+      ( "codec",
+        [ Alcotest.test_case "batched wire path" `Quick test_codec_path;
+          Alcotest.test_case "closure-allocating varints break it" `Quick test_codec_budget_bites ]
+      ) ]
